@@ -19,9 +19,7 @@
 //!   the first entry is the speedup baseline.
 //! * `--system NAME` — the design to sweep (default `baseline`).
 //! * All shared harness flags apply (`--scale`, `--only`, `--warmup`,
-//!   `--measure`, `--manifest`, `--resume`, ...). The same sweep can be
-//!   submitted to a running daemon instead:
-//!   `simctl submit --systems baseline --channels 1,2,4,8 --workloads ...`
+//!   `--measure`, `--manifest`, `--resume`, ...).
 
 use gpbench::{finish_sweeps, run_or_exit, HarnessOpts, TextTable};
 use gpworkloads::matrix::{MatrixPoint, SystemSpec};

@@ -16,7 +16,7 @@ use simcore::hierarchy::{
     AccessOutcome, CoreMemory, CoreSide, ServedBy, SharedBackend, SingleCore,
 };
 use simcore::mshr::{MshrFile, MshrOutcome};
-use simcore::prefetch::{NextLine, Prefetcher};
+use simcore::prefetch::NextLine;
 use simcore::replacement::ReplCtx;
 use simcore::stats::HierStats;
 use simcore::trace::{MemRef, StructId};

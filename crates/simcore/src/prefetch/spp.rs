@@ -17,8 +17,6 @@
 //! ever consumed in index order — the slot chosen for every access is
 //! identical to the one the scans picked.
 
-use super::Prefetcher;
-
 const SIG_BITS: u32 = 12;
 const SIG_MASK: u32 = (1 << SIG_BITS) - 1;
 const BLOCKS_PER_PAGE: u64 = 64;
@@ -346,10 +344,10 @@ impl Spp {
             *entry = PatternEntry { delta, confidence: 1 };
         }
     }
-}
 
-impl Prefetcher for Spp {
-    fn on_access(&mut self, _pc: u16, block: u64, _hit: bool, out: &mut Vec<u64>) {
+    /// Observe one demand access; push candidate prefetch blocks into
+    /// `out`.
+    pub fn on_access(&mut self, _pc: u16, block: u64, _hit: bool, out: &mut Vec<u64>) {
         let page = block / BLOCKS_PER_PAGE;
         let offset = (block % BLOCKS_PER_PAGE) as i32;
 

@@ -11,8 +11,8 @@ use crate::stats::CacheStats;
 const INVALID_PAGE: u64 = u64::MAX;
 
 /// One TLB level: a set-associative array of page numbers with inline LRU
-/// stamps (same fill/victim order as the `Lru` replacement policy, flattened
-/// into the level so the whole lookup stays in two arrays).
+/// stamps (same fill/victim order as `ReplState::Lru`, flattened into the
+/// level so the whole lookup stays in two arrays).
 #[derive(Debug)]
 struct TlbLevel {
     sets: usize,

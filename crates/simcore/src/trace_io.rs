@@ -18,6 +18,7 @@
 //! aborting a sweep.
 
 use crate::trace::{CompactTrace, TraceEvent};
+use simstate::Fnv1a;
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -85,30 +86,6 @@ impl From<io::Error> for TraceIoError {
         } else {
             TraceIoError::Io(e)
         }
-    }
-}
-
-/// Streaming FNV-1a (64-bit) — dependency-free, stable across platforms.
-#[derive(Clone, Copy)]
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv1a(Self::OFFSET)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    fn finish(self) -> u64 {
-        self.0
     }
 }
 

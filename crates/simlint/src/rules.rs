@@ -157,12 +157,11 @@ impl FileCtx {
             // workloads manifest recorder; the simulation stack is
             // cycle-accurate and must never read host clocks. simstate is
             // in scope so checkpoint retries stay count-bounded, never
-            // backoff-timed; simserve is in scope so daemon liveness
-            // comes from blocking I/O and condvars, never timeouts.
+            // backoff-timed.
             "wall-clock" => {
                 matches!(
                     self.crate_name.as_str(),
-                    "simcore" | "core" | "kernels" | "graph" | "simtel" | "simstate" | "simserve"
+                    "simcore" | "core" | "kernels" | "graph" | "simtel" | "simstate"
                 )
             }
             "narrowing-cast" => self.crate_name == "simcore",
@@ -170,13 +169,8 @@ impl FileCtx {
             "forbid-unsafe" => self.is_crate_root,
             // Simulator libraries report through stats and telemetry sinks;
             // stray prints interleave with harness output and desync logs.
-            // The simserve library logs only through its host-supplied
-            // callback (the simserved binary owns stderr).
             "no-println" => {
-                matches!(
-                    self.crate_name.as_str(),
-                    "simcore" | "core" | "simtel" | "simstate" | "simserve"
-                )
+                matches!(self.crate_name.as_str(), "simcore" | "core" | "simtel" | "simstate")
             }
             // The semantic rules guard result determinism and hot-path
             // integrity everywhere but the linter's own sources (which

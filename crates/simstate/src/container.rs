@@ -24,8 +24,10 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 const MAGIC: &[u8; 8] = b"SSTATEv1";
 
 /// Streaming FNV-1a (64-bit) — dependency-free, stable across platforms.
-/// Public because checkpoint keys and trace identities are hashed with
-/// the same function the container footer uses.
+/// Public because checkpoint keys, trace identities, and the `GPTRCv2`
+/// trace footer are hashed with the same function the container footer
+/// uses. Inlined across crates: `simcore::trace_io::trace_checksum` runs
+/// it over every event of every recorded trace.
 #[derive(Clone, Copy)]
 pub struct Fnv1a(u64);
 
@@ -33,10 +35,12 @@ impl Fnv1a {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
+    #[inline]
     pub fn new() -> Self {
         Fnv1a(Self::OFFSET)
     }
 
+    #[inline]
     pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
@@ -44,6 +48,7 @@ impl Fnv1a {
         }
     }
 
+    #[inline]
     pub fn finish(self) -> u64 {
         self.0
     }

@@ -114,10 +114,9 @@ impl CheckpointStore {
     /// keyed by warmup class, stay valid across process lifetimes, and
     /// are the whole point of the persistent store. Callers must only
     /// invoke this when no sweep is using the directory (batch binaries
-    /// after their sweeps finish; the daemon at startup and when its
-    /// queue drains). Returns the number of files removed; a missing
-    /// directory is a clean zero, and individual unlink races (another
-    /// reaper got there first) are ignored.
+    /// after their sweeps finish). Returns the number of files removed;
+    /// a missing directory is a clean zero, and individual unlink races
+    /// (another reaper got there first) are ignored.
     pub fn sweep_stale(&self) -> Result<usize, StateError> {
         let entries = match fs::read_dir(&self.dir) {
             Ok(e) => e,

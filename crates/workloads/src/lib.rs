@@ -21,7 +21,7 @@ pub use matrix::{
     cross, MatrixOptions, MatrixPoint, PointStatus, RunManifest, RunRecord, SystemSpec, Watchdog,
 };
 pub use multicore::{generate_mixes, paper_mixes, Mix, MulticoreRunner, MIX_WIDTH};
-pub use names::{find_scale, find_system, find_workload, norm_name};
+pub use names::{find_system, find_workload, norm_name};
 pub use regular::{run_regular, RegularKind};
 pub use runner::Runner;
 pub use sdclp::SimError;

@@ -105,12 +105,11 @@ impl SystemSpec {
     }
 
     /// A named design with its DRAM channel count overridden (the
-    /// channel-count study: `dram_sweep` and simserve submissions with an
-    /// explicit `channels` use this). The label is `{name}@{n}ch` and the
-    /// config repr embeds the full overridden [`simcore::SystemConfig`],
-    /// so points with different channel counts never share a
-    /// `config_hash` — and a zero request clamps to one channel rather
-    /// than building an unclocked DRAM.
+    /// channel-count study in `dram_sweep`). The label is `{name}@{n}ch`
+    /// and the config repr embeds the full overridden
+    /// [`simcore::SystemConfig`], so points with different channel counts
+    /// never share a `config_hash` — and a zero request clamps to one
+    /// channel rather than building an unclocked DRAM.
     pub fn kind_with_channels(kind: SystemKind, channels: usize, sdclp: &SdcLpConfig) -> Self {
         let mut cfg = kind.system_config(1);
         cfg.dram.channels = channels.max(1);
@@ -135,15 +134,6 @@ impl SystemSpec {
             SystemSpec::Kind(k) => Some(*k),
             SystemSpec::Custom { .. } => None,
         }
-    }
-
-    /// The manifest `config_hash` this spec produces under `runner`'s
-    /// settings (hex, exactly as recorded in
-    /// [`RunManifest::config_hash`]). Exposed so schedulers layered above
-    /// the executor (the simserve daemon) can compute a point's cache
-    /// identity without simulating it.
-    pub fn config_hash(&self, runner: &Runner) -> String {
-        format!("{:016x}", hash_config_u64(&self.config_repr(runner)))
     }
 
     fn config_repr(&self, runner: &Runner) -> String {
@@ -263,10 +253,8 @@ pub struct RunManifest {
 
 impl RunManifest {
     /// The resume identity of a record: a prior `ok` line is reused only
-    /// if every field of this key still matches the submitted point. The
-    /// same key (via [`Runner::point_resume_key`]) addresses the simserve
-    /// daemon's warm result cache, so batch resume and daemon cache hits
-    /// share one identity definition.
+    /// if every field of this key still matches the submitted point (the
+    /// executor builds the same key for a point before simulating it).
     pub fn resume_key(&self) -> String {
         format!(
             "{}|{}|{}|{}|{}|{}|{}|{}",
@@ -424,8 +412,8 @@ pub struct MatrixOptions {
     /// `.sstate.tmp` staging leftovers from killed processes) out of
     /// `state_dir` once the sweep completes, via
     /// [`simstate::CheckpointStore::sweep_stale`]. On for harness runs;
-    /// off for library callers and the simserve daemon, which reaps on
-    /// its own startup/idle schedule because its sweeps overlap.
+    /// off for quiet library callers, so a crashed sweep's snapshots stay
+    /// in place for the run that resumes it.
     pub reap_stale: bool,
 }
 
@@ -1080,16 +1068,10 @@ impl Runner {
     }
 
     /// The resume identity of a submitted point (mirrors
-    /// [`RunManifest::resume_key`]). `config_hash` is the hex hash from
-    /// [`SystemSpec::config_hash`]; `trace_checksum` is the FNV-1a sum of
-    /// the recorded trace. The simserve daemon keys its warm result cache
-    /// with exactly this string.
-    pub fn point_resume_key(
-        &self,
-        p: &MatrixPoint,
-        config_hash: &str,
-        trace_checksum: u64,
-    ) -> String {
+    /// [`RunManifest::resume_key`]). `config_hash` is the point's hex
+    /// config hash as recorded in the manifest; `trace_checksum` is the
+    /// FNV-1a sum of the recorded trace.
+    fn point_resume_key(&self, p: &MatrixPoint, config_hash: &str, trace_checksum: u64) -> String {
         format!(
             "{}|{}|{}|{:?}|{}|{}|{}|{trace_checksum:016x}",
             p.workload.name(),

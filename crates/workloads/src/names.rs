@@ -1,14 +1,12 @@
-//! Human-friendly name lookup for workloads, systems, and scales.
+//! Human-friendly name lookup for workloads and systems.
 //!
-//! Every user-facing entry point — the `timeline` viewer, `simctl`
-//! submissions, the `dram_sweep` harness — accepts loosely-typed names
-//! (`sdc_lp`, `SDC+LP`, `sdclp`) and needs one canonical resolution so a
-//! name submitted to the daemon means the same point as the one typed at
-//! a batch binary.
+//! The user-facing entry points that take names on the command line —
+//! the `timeline` viewer and the `dram_sweep` harness — accept
+//! loosely-typed names (`sdc_lp`, `SDC+LP`, `sdclp`) and share one
+//! canonical resolution, so a name means the same point in every binary.
 
 use crate::configs::SystemKind;
 use crate::singlecore::{all_workloads, Workload};
-use gpgraph::SuiteScale;
 
 /// Lowercase and squash every non-alphanumeric run to one `_`, so
 /// `SDC+LP` matches `sdc_lp`, `sdc-lp`, and `sdclp` comparisons stay
@@ -68,18 +66,6 @@ pub fn find_workload(arg: &str) -> Result<Workload, String> {
     }
 }
 
-/// Resolve a suite-scale name (`tiny`, `small`, `medium`, `full`;
-/// case-insensitive, matching the manifest's `Debug` rendering).
-pub fn find_scale(arg: &str) -> Result<SuiteScale, String> {
-    match norm_name(arg).as_str() {
-        "tiny" => Ok(SuiteScale::Tiny),
-        "small" => Ok(SuiteScale::Small),
-        "medium" => Ok(SuiteScale::Medium),
-        "full" => Ok(SuiteScale::Full),
-        _ => Err(format!("unknown scale {arg:?} (known: tiny, small, medium, full)")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,12 +91,5 @@ mod tests {
         assert_eq!(find_workload("bfs.k").unwrap().name(), "bfs.kron");
         assert!(find_workload("bfs").is_err(), "six graphs match — ambiguous");
         assert!(find_workload("nope").is_err());
-    }
-
-    #[test]
-    fn scales_resolve_case_insensitively() {
-        assert_eq!(find_scale("Tiny").unwrap(), SuiteScale::Tiny);
-        assert_eq!(find_scale("FULL").unwrap(), SuiteScale::Full);
-        assert!(find_scale("galactic").is_err());
     }
 }

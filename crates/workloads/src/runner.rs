@@ -128,22 +128,6 @@ impl Runner {
         self.traces.lock().remove(&w);
     }
 
-    /// Drop all cached traces.
-    pub fn clear_traces(&self) {
-        self.traces.lock().clear();
-    }
-
-    /// Number of workload traces currently resident in the cache (the
-    /// simserve daemon reports this in `cache-stats`).
-    pub fn cached_trace_count(&self) -> usize {
-        self.traces.lock().len()
-    }
-
-    /// Number of suite graphs currently resident in the cache.
-    pub fn cached_graph_count(&self) -> usize {
-        self.graphs.lock().len()
-    }
-
     pub(crate) fn engine_for(
         &self,
         sys: Box<dyn MemorySystem + Send>,
