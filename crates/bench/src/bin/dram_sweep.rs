@@ -61,7 +61,7 @@ fn main() -> ExitCode {
             _ => rest.push(arg),
         }
     }
-    let opts = HarnessOpts::parse(rest);
+    let opts = HarnessOpts::parse_or_exit(rest);
     let kind = match find_system(&system_arg) {
         Ok(k) => k,
         Err(e) => {

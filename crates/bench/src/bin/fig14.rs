@@ -23,7 +23,7 @@ fn main() {
             passthrough.push(a);
         }
     }
-    let opts = HarnessOpts::parse(passthrough);
+    let opts = HarnessOpts::parse_or_exit(passthrough);
     let runner = opts.runner();
     let mc = MulticoreRunner::new(&runner);
 

@@ -37,7 +37,7 @@ fn main() -> ExitCode {
             _ => rest.push(arg),
         }
     }
-    let opts = HarnessOpts::parse(rest);
+    let opts = HarnessOpts::parse_or_exit(rest);
 
     let (workload, kind) = match (find_workload(&workload_arg), find_system(&system_arg)) {
         (Ok(w), Ok(k)) => (w, k),

@@ -98,12 +98,66 @@ impl Default for HarnessOpts {
     }
 }
 
+/// Why [`HarnessOpts::parse`] rejected its arguments.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgError {
+    /// A flag that takes a value was the last argument.
+    MissingValue { flag: String },
+    /// A flag's value does not parse as the number the flag takes.
+    BadValue { flag: String, value: String },
+    /// `--scale` names no suite scale.
+    UnknownScale(String),
+    /// An argument that is no harness flag.
+    UnknownFlag(String),
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::MissingValue { flag } => write!(f, "{flag} needs a value"),
+            ArgError::BadValue { flag, value } => write!(f, "bad {flag} value {value:?}"),
+            ArgError::UnknownScale(scale) => {
+                write!(f, "unknown scale {scale:?} (expected tiny, small, medium or full)")
+            }
+            ArgError::UnknownFlag(arg) => write!(f, "unknown argument {arg:?} (try --quick / --scale / --warmup / --measure / --only / --manifest / --no-manifest / --resume / --fail-fast / --watchdog-cpi / --no-watchdog / --state-dir / --no-state / --warmup-fork / --snapshot-every / --telemetry / --interval / --bench-out)"),
+        }
+    }
+}
+
+impl std::error::Error for ArgError {}
+
+/// The argument after `flag`.
+fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, ArgError> {
+    it.next().ok_or_else(|| ArgError::MissingValue { flag: flag.to_string() })
+}
+
+/// The argument after `flag`, parsed as a number.
+fn number<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, ArgError> {
+    let v = value(it, flag)?;
+    v.parse().map_err(|_| ArgError::BadValue { flag: flag.to_string(), value: v })
+}
+
 impl HarnessOpts {
+    /// Parse the process arguments, or print the error and exit with
+    /// code 2.
     pub fn parse_args() -> Self {
-        Self::parse(std::env::args().skip(1))
+        Self::parse_or_exit(std::env::args().skip(1))
     }
 
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// [`HarnessOpts::parse`], printing the error and exiting with code 2
+    /// on bad arguments.
+    pub fn parse_or_exit<I: IntoIterator<Item = String>>(args: I) -> Self {
+        Self::parse(args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parse harness flags (the program name already stripped).
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgError> {
         let mut opts = HarnessOpts::default();
         let mut warmup = None;
         let mut measure = None;
@@ -116,90 +170,40 @@ impl HarnessOpts {
                     measure = Some(800_000);
                 }
                 "--scale" => {
-                    opts.scale = match it.next().as_deref() {
-                        Some("tiny") => SuiteScale::Tiny,
-                        Some("small") => SuiteScale::Small,
-                        Some("medium") => SuiteScale::Medium,
-                        Some("full") => SuiteScale::Full,
-                        other => panic!("unknown scale {other:?}"),
+                    opts.scale = match value(&mut it, &arg)?.as_str() {
+                        "tiny" => SuiteScale::Tiny,
+                        "small" => SuiteScale::Small,
+                        "medium" => SuiteScale::Medium,
+                        "full" => SuiteScale::Full,
+                        other => return Err(ArgError::UnknownScale(other.to_string())),
                     };
                 }
-                "--warmup" => {
-                    warmup = Some(
-                        it.next().expect("--warmup needs a value").parse().expect("bad --warmup"),
-                    );
-                }
-                "--measure" => {
-                    measure = Some(
-                        it.next()
-                            .expect("--measure needs a value")
-                            .parse()
-                            .expect("bad --measure"),
-                    );
-                }
-                "--only" => {
-                    opts.only = Some(it.next().expect("--only needs a substring"));
-                }
-                "--manifest" => {
-                    opts.manifest = Some(it.next().expect("--manifest needs a path").into());
-                }
-                "--no-manifest" => {
-                    opts.no_manifest = true;
-                }
-                "--resume" => {
-                    opts.resume = true;
-                }
-                "--fail-fast" => {
-                    opts.fail_fast = true;
-                }
+                "--warmup" => warmup = Some(number(&mut it, &arg)?),
+                "--measure" => measure = Some(number(&mut it, &arg)?),
+                "--only" => opts.only = Some(value(&mut it, &arg)?),
+                "--manifest" => opts.manifest = Some(value(&mut it, &arg)?.into()),
+                "--no-manifest" => opts.no_manifest = true,
+                "--resume" => opts.resume = true,
+                "--fail-fast" => opts.fail_fast = true,
                 "--watchdog-cpi" => {
-                    opts.watchdog = Watchdog::CyclesPerInstr(
-                        it.next()
-                            .expect("--watchdog-cpi needs a value")
-                            .parse()
-                            .expect("bad --watchdog-cpi"),
-                    );
+                    opts.watchdog = Watchdog::CyclesPerInstr(number(&mut it, &arg)?);
                 }
-                "--no-watchdog" => {
-                    opts.watchdog = Watchdog::Off;
-                }
-                "--telemetry" => {
-                    opts.telemetry = Some(it.next().expect("--telemetry needs a directory").into());
-                }
-                "--interval" => {
-                    opts.interval = it
-                        .next()
-                        .expect("--interval needs a value")
-                        .parse()
-                        .expect("bad --interval");
-                }
-                "--bench-out" => {
-                    opts.bench_out = Some(it.next().expect("--bench-out needs a path").into());
-                }
-                "--state-dir" => {
-                    opts.state_dir = Some(it.next().expect("--state-dir needs a path").into());
-                }
-                "--no-state" => {
-                    opts.no_state = true;
-                }
-                "--warmup-fork" => {
-                    opts.warmup_fork = true;
-                }
-                "--snapshot-every" => {
-                    opts.snapshot_every = it
-                        .next()
-                        .expect("--snapshot-every needs a value")
-                        .parse()
-                        .expect("bad --snapshot-every");
-                }
-                other => panic!("unknown argument {other:?} (try --quick / --scale / --warmup / --measure / --only / --manifest / --no-manifest / --resume / --fail-fast / --watchdog-cpi / --no-watchdog / --state-dir / --no-state / --warmup-fork / --snapshot-every / --telemetry / --interval / --bench-out)"),
+                "--no-watchdog" => opts.watchdog = Watchdog::Off,
+                "--telemetry" => opts.telemetry = Some(value(&mut it, &arg)?.into()),
+                "--interval" => opts.interval = number(&mut it, &arg)?,
+                "--bench-out" => opts.bench_out = Some(value(&mut it, &arg)?.into()),
+                "--state-dir" => opts.state_dir = Some(value(&mut it, &arg)?.into()),
+                "--no-state" => opts.no_state = true,
+                "--warmup-fork" => opts.warmup_fork = true,
+                "--snapshot-every" => opts.snapshot_every = number(&mut it, &arg)?,
+                _ => return Err(ArgError::UnknownFlag(arg)),
             }
         }
         opts.window = Window::new(
             warmup.unwrap_or(opts.window.warmup),
             measure.unwrap_or(opts.window.measure),
         );
-        opts
+        Ok(opts)
     }
 
     pub fn runner(&self) -> Runner {
@@ -390,14 +394,14 @@ mod tests {
 
     #[test]
     fn parse_defaults_to_full_scale() {
-        let o = HarnessOpts::parse(Vec::<String>::new());
+        let o = HarnessOpts::parse(Vec::<String>::new()).unwrap();
         assert_eq!(o.scale, SuiteScale::Full);
         assert_eq!(o.window.warmup, 2_000_000);
     }
 
     #[test]
     fn parse_quick() {
-        let o = HarnessOpts::parse(vec!["--quick".to_string()]);
+        let o = HarnessOpts::parse(vec!["--quick".to_string()]).unwrap();
         assert_eq!(o.scale, SuiteScale::Small);
         assert_eq!(o.window.measure, 800_000);
     }
@@ -406,88 +410,112 @@ mod tests {
     fn parse_explicit_window() {
         let args: Vec<String> =
             ["--scale", "tiny", "--warmup", "100", "--measure", "200"].map(String::from).into();
-        let o = HarnessOpts::parse(args);
+        let o = HarnessOpts::parse(args).unwrap();
         assert_eq!(o.scale, SuiteScale::Tiny);
         assert_eq!(o.window.warmup, 100);
         assert_eq!(o.window.measure, 200);
     }
 
+    fn parse_err(args: &[&str]) -> ArgError {
+        HarnessOpts::parse(args.iter().map(|a| a.to_string())).unwrap_err()
+    }
+
     #[test]
-    #[should_panic(expected = "unknown argument")]
     fn parse_rejects_unknown() {
-        HarnessOpts::parse(vec!["--bogus".to_string()]);
+        assert_eq!(parse_err(&["--bogus"]), ArgError::UnknownFlag("--bogus".into()));
+    }
+
+    #[test]
+    fn parse_rejects_a_missing_value() {
+        assert_eq!(
+            parse_err(&["--scale", "tiny", "--warmup"]),
+            ArgError::MissingValue { flag: "--warmup".into() }
+        );
+    }
+
+    #[test]
+    fn parse_rejects_an_unparsable_value() {
+        assert_eq!(
+            parse_err(&["--watchdog-cpi", "lots"]),
+            ArgError::BadValue { flag: "--watchdog-cpi".into(), value: "lots".into() }
+        );
+    }
+
+    #[test]
+    fn parse_rejects_an_unknown_scale() {
+        assert_eq!(parse_err(&["--scale", "huge"]), ArgError::UnknownScale("huge".into()));
     }
 
     #[test]
     fn manifest_flags_control_matrix_options() {
-        let o = HarnessOpts::parse(Vec::<String>::new());
+        let o = HarnessOpts::parse(Vec::<String>::new()).unwrap();
         let m = o.matrix_options("fig7");
         assert_eq!(m.manifest_path.as_deref(), Some(Path::new("results/manifests/fig7.jsonl")));
         assert!(m.progress && m.evict);
 
-        let o = HarnessOpts::parse(vec!["--manifest".into(), "out/run.jsonl".into()]);
+        let o = HarnessOpts::parse(vec!["--manifest".into(), "out/run.jsonl".into()]).unwrap();
         assert_eq!(
             o.matrix_options("ablation2").manifest_path.as_deref(),
             Some(Path::new("out/run-ablation2.jsonl"))
         );
 
-        let o = HarnessOpts::parse(vec!["--no-manifest".to_string()]);
+        let o = HarnessOpts::parse(vec!["--no-manifest".to_string()]).unwrap();
         assert_eq!(o.matrix_options("fig7").manifest_path, None);
     }
 
     #[test]
     fn fault_tolerance_flags_control_matrix_options() {
-        let o = HarnessOpts::parse(Vec::<String>::new());
+        let o = HarnessOpts::parse(Vec::<String>::new()).unwrap();
         let m = o.matrix_options("fig7");
         assert!(!m.resume && !m.fail_fast);
         assert_eq!(m.watchdog, Watchdog::CyclesPerInstr(Watchdog::DEFAULT_CPI));
 
         let args: Vec<String> =
             ["--resume", "--fail-fast", "--watchdog-cpi", "64"].map(String::from).into();
-        let o = HarnessOpts::parse(args);
+        let o = HarnessOpts::parse(args).unwrap();
         let m = o.matrix_options("fig7");
         assert!(m.resume && m.fail_fast);
         assert_eq!(m.watchdog, Watchdog::CyclesPerInstr(64));
 
-        let o = HarnessOpts::parse(vec!["--no-watchdog".to_string()]);
+        let o = HarnessOpts::parse(vec!["--no-watchdog".to_string()]).unwrap();
         assert_eq!(o.matrix_options("fig7").watchdog, Watchdog::Off);
 
         // --resume without a manifest degenerates to a plain run.
         let args: Vec<String> = ["--resume", "--no-manifest"].map(String::from).into();
-        assert!(!HarnessOpts::parse(args).matrix_options("fig7").resume);
+        assert!(!HarnessOpts::parse(args).unwrap().matrix_options("fig7").resume);
     }
 
     #[test]
     fn checkpoint_flags_control_matrix_options() {
         // No checkpoint layer requested: state dir stays unset.
-        let o = HarnessOpts::parse(Vec::<String>::new());
+        let o = HarnessOpts::parse(Vec::<String>::new()).unwrap();
         let m = o.matrix_options("fig7");
         assert_eq!(m.state_dir, None);
         assert!(!m.warmup_fork);
         assert_eq!(m.snapshot_every, 0);
 
         // Either layer enables the per-binary default state dir.
-        let o = HarnessOpts::parse(vec!["--warmup-fork".to_string()]);
+        let o = HarnessOpts::parse(vec!["--warmup-fork".to_string()]).unwrap();
         let m = o.matrix_options("fig7");
         assert_eq!(m.state_dir, Some(PathBuf::from("results/state/fig7")));
         assert!(m.warmup_fork);
         assert_eq!(m.snapshot_every, 0);
 
         let args: Vec<String> = ["--snapshot-every", "50000"].map(String::from).into();
-        let m = HarnessOpts::parse(args).matrix_options("fig7");
+        let m = HarnessOpts::parse(args).unwrap().matrix_options("fig7");
         assert_eq!(m.state_dir, Some(PathBuf::from("results/state/fig7")));
         assert!(!m.warmup_fork);
         assert_eq!(m.snapshot_every, 50_000);
 
         // --state-dir overrides the default location.
         let args: Vec<String> = ["--warmup-fork", "--state-dir", "ckpt"].map(String::from).into();
-        let m = HarnessOpts::parse(args).matrix_options("fig7");
+        let m = HarnessOpts::parse(args).unwrap().matrix_options("fig7");
         assert_eq!(m.state_dir, Some(PathBuf::from("ckpt")));
 
         // --no-state disables checkpointing wholesale.
         let args: Vec<String> =
             ["--warmup-fork", "--snapshot-every", "10", "--no-state"].map(String::from).into();
-        let m = HarnessOpts::parse(args).matrix_options("fig7");
+        let m = HarnessOpts::parse(args).unwrap().matrix_options("fig7");
         assert_eq!(m.state_dir, None);
         assert!(!m.warmup_fork);
         assert_eq!(m.snapshot_every, 0);
@@ -495,7 +523,7 @@ mod tests {
 
     #[test]
     fn telemetry_flags_parse_and_gate_the_config() {
-        let o = HarnessOpts::parse(Vec::<String>::new());
+        let o = HarnessOpts::parse(Vec::<String>::new()).unwrap();
         assert_eq!(o.telemetry, None);
         assert_eq!(o.interval, simtel::DEFAULT_INTERVAL_INSTRUCTIONS);
         assert_eq!(o.bench_out, None);
@@ -505,7 +533,7 @@ mod tests {
             ["--telemetry", "out/tel", "--interval", "5000", "--bench-out", "BENCH_sim.json"]
                 .map(String::from)
                 .into();
-        let o = HarnessOpts::parse(args);
+        let o = HarnessOpts::parse(args).unwrap();
         assert_eq!(o.telemetry.as_deref(), Some(Path::new("out/tel")));
         assert_eq!(o.bench_out.as_deref(), Some(Path::new("BENCH_sim.json")));
         let cfg = o.telemetry_config().expect("collector enabled");
