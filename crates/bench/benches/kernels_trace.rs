@@ -6,9 +6,9 @@ use gpkernels::{run_kernel_windowed, Kernel, KernelInput};
 use simcore::RecordingTracer;
 
 fn bench_kernels(c: &mut Criterion) {
+    // pr and cc build their T-OPT next-use window inside each recording,
+    // so it is measured with the trace it hints.
     let input = KernelInput::from_symmetric(gpgraph::gen::kron(14, 8, 7));
-    // Prime the lazily-built T-OPT oracle so it is not measured.
-    let _ = input.oracle();
 
     let mut group = c.benchmark_group("kernels_trace");
     group.sample_size(10);

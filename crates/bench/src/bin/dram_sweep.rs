@@ -21,9 +21,9 @@
 //! * All shared harness flags apply (`--scale`, `--only`, `--warmup`,
 //!   `--measure`, `--manifest`, `--resume`, ...).
 
-use gpbench::{finish_sweeps, run_or_exit, HarnessOpts, TextTable};
+use gpbench::{finish_sweeps, flag_value, run_or_exit, ArgError, HarnessOpts, TextTable};
 use gpworkloads::matrix::{MatrixPoint, SystemSpec};
-use gpworkloads::{find_system, RunRecord};
+use gpworkloads::{find_system, RunRecord, SystemKind};
 use simcore::geomean;
 use std::process::ExitCode;
 
@@ -41,34 +41,44 @@ fn dram_wait_share(rec: &RunRecord) -> Option<f64> {
     (total > 0).then(|| dram_wait as f64 / total as f64)
 }
 
-fn main() -> ExitCode {
+/// This binary's flags on top of the shared harness flags.
+struct Flags {
+    /// Channel counts to sweep; the first is the speedup baseline.
+    channels: Vec<usize>,
+    system: SystemKind,
+    opts: HarnessOpts,
+}
+
+/// Peel off `--channels` and `--system`, then hand the rest to the shared
+/// parser.
+fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Flags, ArgError> {
     let mut channels: Vec<usize> = vec![1, 2, 4, 8];
     let mut system_arg = "baseline".to_string();
     let mut rest = Vec::new();
-    let mut it = std::env::args().skip(1);
+    let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--channels" => {
-                channels = it
-                    .next()
-                    .expect("--channels needs a list")
+                let list = flag_value(&mut it, &arg)?;
+                // A comma list of positive counts; an empty list fails the
+                // parse of its one empty entry.
+                channels = list
                     .split(',')
-                    .map(|c| c.trim().parse().expect("bad --channels entry"))
-                    .collect();
-                assert!(!channels.is_empty(), "--channels needs at least one count");
+                    .map(|c| c.trim().parse().ok().filter(|&n: &usize| n > 0))
+                    .collect::<Option<_>>()
+                    .ok_or(ArgError::BadValue { flag: arg, value: list })?;
             }
-            "--system" => system_arg = it.next().expect("--system needs a name"),
+            "--system" => system_arg = flag_value(&mut it, &arg)?,
             _ => rest.push(arg),
         }
     }
-    let opts = HarnessOpts::parse_or_exit(rest);
-    let kind = match find_system(&system_arg) {
-        Ok(k) => k,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let system = find_system(&system_arg).map_err(ArgError::UnknownName)?;
+    Ok(Flags { channels, system, opts: HarnessOpts::parse(rest)? })
+}
+
+fn main() -> ExitCode {
+    let Flags { channels, system: kind, opts } =
+        parse(std::env::args().skip(1)).unwrap_or_else(|e| e.exit());
 
     let runner = opts.runner();
     // Chunk layout: every workload's channel counts are adjacent, first
@@ -150,4 +160,43 @@ fn main() -> ExitCode {
         println!("wrote per-point interval telemetry under {}", dir.display());
     }
     finish_sweeps(&[&records])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_strs(args: &[&str]) -> Result<Flags, ArgError> {
+        parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn channels_and_system_need_values() {
+        for flag in ["--channels", "--system"] {
+            assert_eq!(
+                parse_strs(&["--quick", flag]).err(),
+                Some(ArgError::MissingValue { flag: flag.into() })
+            );
+        }
+    }
+
+    #[test]
+    fn channels_must_be_positive_counts() {
+        for list in ["1,two", "", "1,0"] {
+            assert_eq!(
+                parse_strs(&["--channels", list]).err(),
+                Some(ArgError::BadValue { flag: "--channels".into(), value: list.into() })
+            );
+        }
+        assert_eq!(parse_strs(&["--channels", "2, 4"]).map(|f| f.channels).ok(), Some(vec![2, 4]));
+    }
+
+    #[test]
+    fn system_must_name_a_design() {
+        assert!(matches!(parse_strs(&["--system", "nope"]), Err(ArgError::UnknownName(_))));
+        assert_eq!(
+            parse_strs(&["--system", "sdc"]).map(|f| f.system).ok(),
+            Some(SystemKind::SdcLp)
+        );
+    }
 }

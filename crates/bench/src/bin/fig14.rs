@@ -8,22 +8,26 @@
 //!
 //! `--mixes N` limits the number of mixes (default 50).
 
-use gpbench::{pct, HarnessOpts, TextTable};
+use gpbench::{flag_number, pct, ArgError, HarnessOpts, TextTable};
 use gpworkloads::{paper_mixes, MulticoreRunner, SystemKind};
 use simcore::geomean;
 
-fn main() {
+/// Peel off `--mixes N`, then hand the rest to the shared parser.
+fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<(usize, HarnessOpts), ArgError> {
     let mut mix_count = 50usize;
-    let mut passthrough = Vec::new();
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(a) = args.next() {
-        if a == "--mixes" {
-            mix_count = args.next().expect("--mixes needs a value").parse().expect("bad --mixes");
-        } else {
-            passthrough.push(a);
+    let mut rest = Vec::new();
+    let mut it = args.into_iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--mixes" => mix_count = flag_number(&mut it, &arg)?,
+            _ => rest.push(arg),
         }
     }
-    let opts = HarnessOpts::parse_or_exit(passthrough);
+    Ok((mix_count, HarnessOpts::parse(rest)?))
+}
+
+fn main() {
+    let (mix_count, opts) = parse(std::env::args().skip(1)).unwrap_or_else(|e| e.exit());
     let runner = opts.runner();
     let mc = MulticoreRunner::new(&runner);
 
@@ -67,4 +71,30 @@ fn main() {
     println!();
     println!("SDC+LP maximum: {}", pct(max_sdclp));
     println!("Paper reference geomeans: L1D40K +0.02%, Distill -0.04%, T-OPT +6.4%, 2xLLC +2.4%, SDC+LP +20.2% (max +69.3%).");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_err(args: &[&str]) -> Option<ArgError> {
+        parse(args.iter().map(|a| a.to_string())).err()
+    }
+
+    #[test]
+    fn mixes_needs_a_value() {
+        assert_eq!(
+            parse_err(&["--mixes"]),
+            Some(ArgError::MissingValue { flag: "--mixes".into() })
+        );
+    }
+
+    #[test]
+    fn mixes_must_be_a_count() {
+        assert_eq!(
+            parse_err(&["--quick", "--mixes", "ten"]),
+            Some(ArgError::BadValue { flag: "--mixes".into(), value: "ten".into() })
+        );
+        assert_eq!(parse(["--mixes".to_string(), "7".to_string()]).map(|(n, _)| n).ok(), Some(7));
+    }
 }

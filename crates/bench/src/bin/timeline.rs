@@ -17,37 +17,46 @@
 //!   period and `--telemetry DIR` additionally writes the JSONL intervals
 //!   and the Chrome trace-event JSON for Perfetto.
 
-use gpbench::HarnessOpts;
-use gpworkloads::{find_system, find_workload, norm_name};
+use gpbench::{flag_value, ArgError, HarnessOpts};
+use gpworkloads::{find_system, find_workload, norm_name, SystemKind, Workload};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    // Peel off the timeline-specific flags, then hand the rest to the
-    // shared parser (which rejects anything it does not know).
+/// This binary's flags on top of the shared harness flags.
+struct Flags {
+    workload: Workload,
+    system: SystemKind,
+    csv: Option<PathBuf>,
+    opts: HarnessOpts,
+}
+
+/// Peel off the timeline-specific flags, then hand the rest to the shared
+/// parser (which rejects anything it does not know).
+fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Flags, ArgError> {
     let mut workload_arg = "bfs.kron".to_string();
     let mut system_arg = "sdc_lp".to_string();
-    let mut csv_path: Option<std::path::PathBuf> = None;
+    let mut csv = None;
     let mut rest = Vec::new();
-    let mut it = std::env::args().skip(1);
+    let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--workload" => workload_arg = it.next().expect("--workload needs a name"),
-            "--system" => system_arg = it.next().expect("--system needs a name"),
-            "--csv" => csv_path = Some(it.next().expect("--csv needs a path").into()),
+            "--workload" => workload_arg = flag_value(&mut it, &arg)?,
+            "--system" => system_arg = flag_value(&mut it, &arg)?,
+            "--csv" => csv = Some(flag_value(&mut it, &arg)?.into()),
             _ => rest.push(arg),
         }
     }
-    let opts = HarnessOpts::parse_or_exit(rest);
+    Ok(Flags {
+        workload: find_workload(&workload_arg).map_err(ArgError::UnknownName)?,
+        system: find_system(&system_arg).map_err(ArgError::UnknownName)?,
+        csv,
+        opts: HarnessOpts::parse(rest)?,
+    })
+}
 
-    let (workload, kind) = match (find_workload(&workload_arg), find_system(&system_arg)) {
-        (Ok(w), Ok(k)) => (w, k),
-        (w, k) => {
-            for e in [w.err(), k.err()].into_iter().flatten() {
-                eprintln!("error: {e}");
-            }
-            return ExitCode::FAILURE;
-        }
-    };
+fn main() -> ExitCode {
+    let Flags { workload, system: kind, csv, opts } =
+        parse(std::env::args().skip(1)).unwrap_or_else(|e| e.exit());
 
     // The whole point of this binary is the timeline, so telemetry is
     // always collected here; --telemetry only adds the file outputs.
@@ -77,7 +86,7 @@ fn main() -> ExitCode {
     print!("{}", simtel::render::ascii_timeline(&output.intervals));
 
     let point = format!("{}.{}", workload.name(), norm_name(kind.name()));
-    if let Some(path) = &csv_path {
+    if let Some(path) = &csv {
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
@@ -95,4 +104,31 @@ fn main() -> ExitCode {
         println!("wrote telemetry files for {point}");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_strs(args: &[&str]) -> Result<Flags, ArgError> {
+        parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn name_and_path_flags_need_values() {
+        for flag in ["--workload", "--system", "--csv"] {
+            assert_eq!(
+                parse_strs(&["--quick", flag]).err(),
+                Some(ArgError::MissingValue { flag: flag.into() })
+            );
+        }
+    }
+
+    #[test]
+    fn names_must_resolve() {
+        assert!(matches!(parse_strs(&["--workload", "zz.kron"]), Err(ArgError::UnknownName(_))));
+        assert!(matches!(parse_strs(&["--system", "nope"]), Err(ArgError::UnknownName(_))));
+        let f = parse_strs(&["--workload", "bfs.k", "--csv", "t.csv"]).ok().unwrap();
+        assert_eq!((f.workload.name(), f.csv), ("bfs.kron".to_string(), Some("t.csv".into())));
+    }
 }

@@ -109,6 +109,9 @@ pub enum ArgError {
     UnknownScale(String),
     /// An argument that is no harness flag.
     UnknownFlag(String),
+    /// A `--workload` or `--system` value names nothing; holds the
+    /// lookup's message.
+    UnknownName(String),
 }
 
 impl std::fmt::Display for ArgError {
@@ -119,6 +122,7 @@ impl std::fmt::Display for ArgError {
             ArgError::UnknownScale(scale) => {
                 write!(f, "unknown scale {scale:?} (expected tiny, small, medium or full)")
             }
+            ArgError::UnknownName(msg) => f.write_str(msg),
             ArgError::UnknownFlag(arg) => write!(f, "unknown argument {arg:?} (try --quick / --scale / --warmup / --measure / --only / --manifest / --no-manifest / --resume / --fail-fast / --watchdog-cpi / --no-watchdog / --state-dir / --no-state / --warmup-fork / --snapshot-every / --telemetry / --interval / --bench-out)"),
         }
     }
@@ -126,17 +130,26 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
+impl ArgError {
+    /// Print the error and exit with code 2, the harness's bad-arguments
+    /// status.
+    pub fn exit(self) -> ! {
+        eprintln!("error: {self}");
+        std::process::exit(2);
+    }
+}
+
 /// The argument after `flag`.
-fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, ArgError> {
+pub fn flag_value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, ArgError> {
     it.next().ok_or_else(|| ArgError::MissingValue { flag: flag.to_string() })
 }
 
 /// The argument after `flag`, parsed as a number.
-fn number<T: std::str::FromStr>(
+pub fn flag_number<T: std::str::FromStr>(
     it: &mut impl Iterator<Item = String>,
     flag: &str,
 ) -> Result<T, ArgError> {
-    let v = value(it, flag)?;
+    let v = flag_value(it, flag)?;
     v.parse().map_err(|_| ArgError::BadValue { flag: flag.to_string(), value: v })
 }
 
@@ -150,10 +163,7 @@ impl HarnessOpts {
     /// [`HarnessOpts::parse`], printing the error and exiting with code 2
     /// on bad arguments.
     pub fn parse_or_exit<I: IntoIterator<Item = String>>(args: I) -> Self {
-        Self::parse(args).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
+        Self::parse(args).unwrap_or_else(|e| e.exit())
     }
 
     /// Parse harness flags (the program name already stripped).
@@ -170,7 +180,7 @@ impl HarnessOpts {
                     measure = Some(800_000);
                 }
                 "--scale" => {
-                    opts.scale = match value(&mut it, &arg)?.as_str() {
+                    opts.scale = match flag_value(&mut it, &arg)?.as_str() {
                         "tiny" => SuiteScale::Tiny,
                         "small" => SuiteScale::Small,
                         "medium" => SuiteScale::Medium,
@@ -178,24 +188,24 @@ impl HarnessOpts {
                         other => return Err(ArgError::UnknownScale(other.to_string())),
                     };
                 }
-                "--warmup" => warmup = Some(number(&mut it, &arg)?),
-                "--measure" => measure = Some(number(&mut it, &arg)?),
-                "--only" => opts.only = Some(value(&mut it, &arg)?),
-                "--manifest" => opts.manifest = Some(value(&mut it, &arg)?.into()),
+                "--warmup" => warmup = Some(flag_number(&mut it, &arg)?),
+                "--measure" => measure = Some(flag_number(&mut it, &arg)?),
+                "--only" => opts.only = Some(flag_value(&mut it, &arg)?),
+                "--manifest" => opts.manifest = Some(flag_value(&mut it, &arg)?.into()),
                 "--no-manifest" => opts.no_manifest = true,
                 "--resume" => opts.resume = true,
                 "--fail-fast" => opts.fail_fast = true,
                 "--watchdog-cpi" => {
-                    opts.watchdog = Watchdog::CyclesPerInstr(number(&mut it, &arg)?);
+                    opts.watchdog = Watchdog::CyclesPerInstr(flag_number(&mut it, &arg)?);
                 }
                 "--no-watchdog" => opts.watchdog = Watchdog::Off,
-                "--telemetry" => opts.telemetry = Some(value(&mut it, &arg)?.into()),
-                "--interval" => opts.interval = number(&mut it, &arg)?,
-                "--bench-out" => opts.bench_out = Some(value(&mut it, &arg)?.into()),
-                "--state-dir" => opts.state_dir = Some(value(&mut it, &arg)?.into()),
+                "--telemetry" => opts.telemetry = Some(flag_value(&mut it, &arg)?.into()),
+                "--interval" => opts.interval = flag_number(&mut it, &arg)?,
+                "--bench-out" => opts.bench_out = Some(flag_value(&mut it, &arg)?.into()),
+                "--state-dir" => opts.state_dir = Some(flag_value(&mut it, &arg)?.into()),
                 "--no-state" => opts.no_state = true,
                 "--warmup-fork" => opts.warmup_fork = true,
-                "--snapshot-every" => opts.snapshot_every = number(&mut it, &arg)?,
+                "--snapshot-every" => opts.snapshot_every = flag_number(&mut it, &arg)?,
                 _ => return Err(ArgError::UnknownFlag(arg)),
             }
         }

@@ -9,6 +9,7 @@
 use crate::input::KernelInput;
 use crate::mem::{sid, AddressSpace};
 use crate::mix;
+use crate::oracle::NextUseOracle;
 use gpgraph::VertexId;
 use simcore::trace::Tracer;
 
@@ -39,7 +40,7 @@ pub fn connected_components<T: Tracer + ?Sized>(
 ) -> CcResult {
     let g = &input.csr;
     let n = g.num_vertices();
-    let oracle = input.oracle();
+    let mut oracle = NextUseOracle::new(g);
 
     let mut space = AddressSpace::new(asid);
     let oa = space.alloc(sid::OA, 8, n as u64 + 1);
@@ -64,7 +65,8 @@ pub fn connected_components<T: Tracer + ?Sized>(
             for i in lo..hi {
                 let v = g.neighbor_at(i);
                 na.load(t, pc::NA_LOAD, i);
-                comp_arr.load_hinted(t, pc::COMP_V, v as u64, oracle.hint(rounds - 1, i as u32, v));
+                let next_use = oracle.hint(t, rounds - 1, i as u32, v);
+                comp_arr.load_hinted(t, pc::COMP_V, v as u64, next_use);
                 t.bubble(mix::EDGE);
                 let (cu, cv) = (comp[u as usize], comp[v as usize]);
                 if cv < cu {
@@ -150,6 +152,35 @@ mod tests {
         let result = connected_components(&input, 0, &mut NullTracer::new());
         for &c in &result.comp {
             assert_eq!(result.comp[c as usize], c, "label {c} is not a root");
+        }
+    }
+
+    #[test]
+    fn hints_follow_the_swept_csr_on_directed_inputs() {
+        // On a directed input the CSC is not the CSR that cc sweeps.
+        let edges: Vec<(u32, u32)> =
+            (0..64u32).flat_map(|v| [(v, (v * 7 + 3) % 64), (v, (v * 13 + 5) % 64)]).collect();
+        let input = KernelInput::from_directed(gpgraph::build_csr(64, &edges, Default::default()));
+        let na = input.csr.raw_neighbors();
+        assert_ne!(na, input.csc.raw_neighbors());
+        let mut rec = RecordingTracer::new(1_000_000);
+        connected_components(&input, 0, &mut rec);
+        let trace = rec.finish();
+        // The first sweep's hinted loads visit NA positions 0, 1, 2, ...
+        let hints: Vec<u32> = trace
+            .events
+            .iter()
+            .filter(|e| e.is_mem() && e.pc == pc::COMP_V)
+            .map(|e| e.next_use)
+            .take(na.len())
+            .collect();
+        assert_eq!(hints.len(), na.len());
+        for (i, (&hint, &v)) in hints.iter().zip(na).enumerate() {
+            let next = match na[i + 1..].iter().position(|&u| u == v) {
+                Some(d) => i + 1 + d,
+                None => na.len() + na.iter().position(|&u| u == v).unwrap(),
+            };
+            assert_eq!(hint as usize, next, "position {i}");
         }
     }
 

@@ -1,9 +1,7 @@
-//! Shared kernel input: the graph in both directions plus the lazily-built
-//! T-OPT next-use oracle.
+//! Shared kernel input: the graph in both directions.
 
-use crate::oracle::NextUseOracle;
 use gpgraph::{transpose, Csr, VertexId};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A graph prepared for kernel execution.
 pub struct KernelInput {
@@ -11,20 +9,19 @@ pub struct KernelInput {
     pub csr: Arc<Csr>,
     /// Incoming-neighbor view (CSC). Equal to `csr` for symmetric graphs.
     pub csc: Arc<Csr>,
-    oracle: OnceLock<NextUseOracle>,
 }
 
 impl KernelInput {
     /// For a symmetric (undirected) graph the CSC *is* the CSR.
     pub fn from_symmetric(g: Csr) -> Self {
         let csr = Arc::new(g);
-        KernelInput { csc: Arc::clone(&csr), csr, oracle: OnceLock::new() }
+        KernelInput { csc: Arc::clone(&csr), csr }
     }
 
     /// For a directed graph, compute the transpose.
     pub fn from_directed(g: Csr) -> Self {
         let csc = Arc::new(transpose(&g));
-        KernelInput { csr: Arc::new(g), csc, oracle: OnceLock::new() }
+        KernelInput { csr: Arc::new(g), csc }
     }
 
     /// Load a kernel input from a binary CSR cache file, treating the
@@ -42,11 +39,6 @@ impl KernelInput {
 
     pub fn num_edges(&self) -> usize {
         self.csr.num_edges()
-    }
-
-    /// The T-OPT next-use oracle over the CSC sweep order (built once).
-    pub fn oracle(&self) -> &NextUseOracle {
-        self.oracle.get_or_init(|| NextUseOracle::build(&self.csc))
     }
 
     /// Deterministic traversal source: the highest-out-degree vertex
@@ -104,13 +96,5 @@ mod tests {
         );
         let input = KernelInput::from_symmetric(g);
         assert_eq!(input.default_source(), 2);
-    }
-
-    #[test]
-    fn oracle_is_cached() {
-        let input = KernelInput::from_symmetric(gpgraph::gen::urand(50, 2, 9));
-        let a = input.oracle() as *const _;
-        let b = input.oracle() as *const _;
-        assert_eq!(a, b);
     }
 }

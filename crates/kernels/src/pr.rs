@@ -9,6 +9,7 @@
 use crate::input::KernelInput;
 use crate::mem::{sid, AddressSpace};
 use crate::mix;
+use crate::oracle::NextUseOracle;
 use simcore::trace::Tracer;
 
 /// Synthetic PCs, one per static access site.
@@ -43,7 +44,7 @@ pub fn pagerank<T: Tracer + ?Sized>(
     let g = &input.csc; // pull: incoming neighbors
     let out = &input.csr;
     let n = g.num_vertices();
-    let oracle = input.oracle();
+    let mut oracle = NextUseOracle::new(g);
 
     let mut space = AddressSpace::new(asid);
     let oa = space.alloc(sid::OA, 8, n as u64 + 1);
@@ -88,12 +89,8 @@ pub fn pagerank<T: Tracer + ?Sized>(
                 let v = g.neighbor_at(i);
                 na.load(t, pc::NA_LOAD, i);
                 // The connectivity-driven gather: cache-averse by nature.
-                contrib_arr.load_hinted(
-                    t,
-                    pc::CONTRIB_GATHER,
-                    v as u64,
-                    oracle.hint(iter, i as u32, v),
-                );
+                let next_use = oracle.hint(t, iter, i as u32, v);
+                contrib_arr.load_hinted(t, pc::CONTRIB_GATHER, v as u64, next_use);
                 t.bubble(mix::EDGE);
                 sum += contrib[v as usize];
             }

@@ -2,12 +2,12 @@
 //! one LLC + DRAM backend, interleaved on a common timeline (Section IV-D
 //! methodology).
 //!
-//! Cores replay recorded traces. Simulation advances the core with the
-//! smallest local cycle so shared-resource contention (LLC capacity, DRAM
-//! banks and bus) is ordered consistently. A core that finishes its
-//! measurement window keeps replaying its trace — still generating
-//! contention — until every core has finished, matching the standard
-//! multi-programmed methodology.
+//! Cores replay recorded traces. Simulation advances the unfinished core
+//! with the smallest local cycle so shared-resource contention (LLC
+//! capacity, DRAM banks and bus) is ordered consistently. A core that
+//! finishes its measurement window stops: it replays no further trace
+//! events, so it adds no contention while the remaining cores run on to
+//! the ends of their own windows (DESIGN.md §4).
 
 use crate::engine::TelSnap;
 use crate::hierarchy::{CoreMemory, SharedBackend};
@@ -389,6 +389,26 @@ mod tests {
         cfg.l1d.prefetcher = PrefetcherKind::None;
         cfg.l2c.prefetcher = PrefetcherKind::None;
         cfg
+    }
+
+    #[test]
+    fn finished_core_consumes_no_further_events() {
+        let cfg = cfg();
+        // Core 0 stays inside its L1D; core 1 misses to DRAM on most loads.
+        let fast = make_trace(1, 20_000, 64);
+        let slow = make_trace(2, 20_000, 10_000_000);
+        let mems: Vec<CoreSide> = (0..2).map(|_| CoreSide::new(&cfg)).collect();
+        let engine = MulticoreEngine::new(mems, SharedBackend::new(&cfg), Window::new(2000, 8000));
+        let mut run = engine.start(&[0, 0], 4, 224);
+        let traces = [&fast, &slow];
+        while !run.cores[0].finished {
+            assert!(run.step_span(&traces, 1));
+        }
+        assert!(!run.cores[1].finished, "core 1 must still be running");
+        let (parked, running) = (run.cores[0].consumed, run.cores[1].consumed);
+        run.run_to_completion(&traces);
+        assert_eq!(run.cores[0].consumed, parked, "a finished core replayed more events");
+        assert!(run.cores[1].consumed > running);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! the *transpose* of the graph to compute, for each irregularly-accessed
 //! vertex-property line, the position of its next reference. In this
 //! reproduction the instrumented kernels carry that next-reference oracle in
-//! `MemRef::next_use` (computed from transpose cursors, exactly the
-//! information the transpose gives the hardware in the original proposal).
+//! `MemRef::next_use`. `gpkernels::oracle` derives it from the neighbor
+//! array the kernel sweeps: the next position holding the same vertex, else
+//! that vertex's first position in the next sweep. That is the information
+//! the transpose gives the hardware in the original proposal.
 //! Lines without a hint (non-property data, frontier-driven kernels) are
 //! assumed to be re-referenced at a fixed default distance, mirroring
 //! P-OPT's handling of non-graph data.

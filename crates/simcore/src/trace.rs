@@ -64,6 +64,14 @@ pub trait Tracer {
     /// True once the simulation window is exhausted.
     fn done(&self) -> bool;
 
+    /// How many more instructions this tracer will keep, or `None` while it
+    /// discards them. Kernels skip hint work for discarded loads and size
+    /// the T-OPT next-use window to what is kept. A live tracer keeps
+    /// everything: the default is unbounded.
+    fn will_keep(&self) -> Option<u64> {
+        Some(u64::MAX)
+    }
+
     /// Convenience: emit a read.
     fn load(&mut self, pc: u16, sid: StructId, addr: u64) {
         self.mem(MemRef::read(pc, sid, addr));
@@ -109,6 +117,10 @@ impl Tracer for NullTracer {
 
     fn done(&self) -> bool {
         self.limit.is_some_and(|l| self.instrs >= l)
+    }
+
+    fn will_keep(&self) -> Option<u64> {
+        None
     }
 }
 
@@ -282,6 +294,13 @@ impl Tracer for RecordingTracer {
     fn done(&self) -> bool {
         self.trace.instructions >= self.limit
     }
+
+    fn will_keep(&self) -> Option<u64> {
+        if self.skip_remaining > 0 || self.done() {
+            return None;
+        }
+        Some(self.limit - self.trace.instructions)
+    }
 }
 
 #[cfg(test)]
@@ -357,6 +376,29 @@ mod tests {
         t.mem(r);
         let trace = t.finish();
         assert_eq!(trace.events[0].as_mem_ref(), r);
+    }
+
+    #[test]
+    fn recording_tracer_reports_what_it_will_keep() {
+        let mut t = RecordingTracer::with_skip(3, 10);
+        assert_eq!(t.will_keep(), None, "skipping");
+        t.bubble(2);
+        t.load(1, 0, 0);
+        assert_eq!(t.will_keep(), Some(10), "skip just ended");
+        t.load(1, 0, 64);
+        t.bubble(4);
+        assert_eq!(t.will_keep(), Some(5), "recording");
+        t.bubble(20);
+        assert!(t.done());
+        assert_eq!(t.will_keep(), None, "full");
+    }
+
+    #[test]
+    fn null_tracer_keeps_nothing() {
+        assert_eq!(NullTracer::new().will_keep(), None);
+        let mut t = NullTracer::with_limit(8);
+        t.bubble(2);
+        assert_eq!(t.will_keep(), None);
     }
 
     #[test]
