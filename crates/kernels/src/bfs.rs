@@ -189,8 +189,7 @@ mod tests {
         let mut rec = RecordingTracer::new(10_000_000);
         bfs(&input, 0, input.default_source(), &mut rec);
         let trace = rec.finish();
-        let pull_probes =
-            trace.events.iter().filter(|e| e.is_mem() && e.pc == pc::DEPTH_PROBE).count();
+        let pull_probes = trace.refs().filter(|r| r.pc == pc::DEPTH_PROBE).count();
         assert!(pull_probes > 0, "pull phase never engaged");
     }
 

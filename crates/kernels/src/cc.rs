@@ -168,10 +168,9 @@ mod tests {
         let trace = rec.finish();
         // The first sweep's hinted loads visit NA positions 0, 1, 2, ...
         let hints: Vec<u32> = trace
-            .events
-            .iter()
-            .filter(|e| e.is_mem() && e.pc == pc::COMP_V)
-            .map(|e| e.next_use)
+            .refs()
+            .filter(|r| r.pc == pc::COMP_V)
+            .map(|r| r.next_use)
             .take(na.len())
             .collect();
         assert_eq!(hints.len(), na.len());
@@ -190,11 +189,7 @@ mod tests {
         let mut rec = RecordingTracer::new(1_000_000);
         connected_components(&input, 0, &mut rec);
         let trace = rec.finish();
-        let hinted = trace
-            .events
-            .iter()
-            .filter(|e| e.is_mem() && e.pc == pc::COMP_V && e.next_use != u32::MAX)
-            .count();
+        let hinted = trace.refs().filter(|r| r.pc == pc::COMP_V && r.next_use != u32::MAX).count();
         assert!(hinted > 0);
     }
 }

@@ -136,16 +136,12 @@ mod tests {
         let mut rec = RecordingTracer::new(200_000);
         pagerank(&input, 0, 0.85, 1e-9, 3, &mut rec);
         let trace = rec.finish();
-        let gathers =
-            trace.events.iter().filter(|e| e.is_mem() && e.pc == pc::CONTRIB_GATHER).count();
+        let gathers = trace.refs().filter(|r| r.pc == pc::CONTRIB_GATHER).count();
         // One gather per edge per iteration (window permitting).
         assert!(gathers > input.num_edges() / 2, "gathers = {gathers}");
         // Most gathers carry oracle hints.
-        let hinted = trace
-            .events
-            .iter()
-            .filter(|e| e.is_mem() && e.pc == pc::CONTRIB_GATHER && e.next_use != u32::MAX)
-            .count();
+        let hinted =
+            trace.refs().filter(|r| r.pc == pc::CONTRIB_GATHER && r.next_use != u32::MAX).count();
         assert!(hinted > gathers / 2, "hinted = {hinted} of {gathers}");
     }
 
@@ -161,10 +157,9 @@ mod tests {
 
         use std::collections::HashMap;
         let hinted: Vec<(u64, u32)> = trace
-            .events
-            .iter()
-            .filter(|e| e.is_mem() && e.pc == pc::CONTRIB_GATHER)
-            .map(|e| (e.addr, e.next_use))
+            .refs()
+            .filter(|r| r.pc == pc::CONTRIB_GATHER)
+            .map(|r| (r.addr, r.next_use))
             .collect();
         let mut next_seen: HashMap<u64, Vec<u32>> = HashMap::new();
         for (i, (addr, _)) in hinted.iter().enumerate() {

@@ -194,6 +194,6 @@ mod tests {
         };
         let a = gen();
         let b = gen();
-        assert_eq!(a.events, b.events);
+        assert_eq!(a, b);
     }
 }

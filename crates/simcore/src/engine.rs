@@ -6,7 +6,7 @@ use crate::block::block_of;
 use crate::hierarchy::{MemorySystem, ServedBy};
 use crate::rob::RobModel;
 use crate::stats::{CacheStats, HierStats, SimResult, StrideProfile, StrideProfiler};
-use crate::trace::{CompactTrace, MemRef, Tracer};
+use crate::trace::{CompactTrace, Event, MemRef, Tracer};
 use simtel::{
     DramDelta, EventKind, ExtraCounters, LevelDelta, LpDelta, StallBuckets, StallTag,
     TelemetryHandle, TelemetryInterval,
@@ -352,19 +352,18 @@ impl<M: MemorySystem> Engine<M> {
     /// (the mid-measurement checkpoint cadence). Returns the index of the
     /// next unconsumed event; stops early when the engine is done.
     pub fn replay_span(&mut self, trace: &CompactTrace, from: usize, max_events: usize) -> usize {
-        let mut idx = from;
-        for ev in trace.events.iter().skip(from).take(max_events) {
+        let mut cur = trace.cursor_at(from);
+        for _ in 0..max_events {
             if self.done() {
                 break;
             }
-            if ev.is_mem() {
-                self.mem(ev.as_mem_ref());
-            } else {
-                self.bubble_n(ev.addr);
+            match trace.next_event(&mut cur) {
+                Some(Event::Mem(r)) => self.mem(r),
+                Some(Event::Bubble(n)) => self.bubble_n(n),
+                None => break,
             }
-            idx += 1;
         }
-        idx
+        cur.pos()
     }
 
     /// Serialize the engine's complete deterministic state: the ROB, the

@@ -52,4 +52,4 @@ pub use hierarchy::{
 };
 pub use multicore::{weighted_ipc, MulticoreEngine};
 pub use stats::{geomean, SimResult};
-pub use trace::{CompactTrace, MemRef, NullTracer, RecordingTracer, Tracer};
+pub use trace::{CompactTrace, Event, MemRef, NullTracer, RecordingTracer, Tracer};

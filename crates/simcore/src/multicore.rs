@@ -13,7 +13,7 @@ use crate::engine::TelSnap;
 use crate::hierarchy::{CoreMemory, SharedBackend};
 use crate::rob::RobModel;
 use crate::stats::SimResult;
-use crate::trace::CompactTrace;
+use crate::trace::{CompactTrace, Event, TraceCursor};
 use simtel::TelemetryHandle;
 
 /// Per-core warmup/measure window (instructions).
@@ -22,8 +22,9 @@ pub use crate::engine::Window;
 struct CoreState {
     rob: RobModel,
     instrs: u64,
-    event_idx: usize,
-    /// Trace events consumed (monotonic — `event_idx` wraps, this does not).
+    /// Replay position; wraps to the start at the end of the trace.
+    cursor: TraceCursor,
+    /// Trace events consumed (monotonic — `cursor` wraps, this does not).
     consumed: u64,
     measuring: bool,
     measure_start_cycle: u64,
@@ -96,7 +97,7 @@ impl<C: CoreMemory> MulticoreEngine<C> {
             .map(|_| CoreState {
                 rob: RobModel::new(width, rob_entries),
                 instrs: 0,
-                event_idx: 0,
+                cursor: TraceCursor::default(),
                 consumed: 0,
                 measuring: self.window.warmup == 0,
                 measure_start_cycle: 0,
@@ -117,7 +118,7 @@ impl<C: CoreMemory> MulticoreEngine<C> {
                 );
             }
         }
-        MulticoreRun { engine: self, cores, offsets: offsets.to_vec() }
+        MulticoreRun { engine: self, cores, offsets: offsets.to_vec(), restored: false }
     }
 }
 
@@ -128,6 +129,10 @@ pub struct MulticoreRun<C: CoreMemory> {
     engine: MulticoreEngine<C>,
     cores: Vec<CoreState>,
     offsets: Vec<u64>,
+    /// Set by a restore, which brings back each cursor's event position
+    /// only: the next `step_span` re-derives the hint positions from the
+    /// traces.
+    restored: bool,
 }
 
 impl<C: CoreMemory> MulticoreRun<C> {
@@ -146,10 +151,15 @@ impl<C: CoreMemory> MulticoreRun<C> {
     /// Advance the machine by at most `max_steps` scheduler steps (each
     /// step replays one trace event on the core with the smallest local
     /// cycle). Returns `true` while any core is still running.
-    // simlint::allow(panic-path): per-core vectors are all sized to the core count fixed at construction, which is also the only divisor
+    // simlint::allow(panic-path): per-core vectors are all sized to the core count fixed at construction
     pub fn step_span(&mut self, traces: &[&CompactTrace], max_steps: u64) -> bool {
         assert_eq!(traces.len(), self.cores.len());
         assert!(traces.iter().all(|t| !t.is_empty()), "cannot replay an empty trace");
+        if std::mem::take(&mut self.restored) {
+            for (core, trace) in self.cores.iter_mut().zip(traces) {
+                core.cursor = trace.cursor_at(core.cursor.pos());
+            }
+        }
         let n = self.cores.len();
         let every = self.engine.tel.interval_instructions();
         let window = self.engine.window;
@@ -165,22 +175,23 @@ impl<C: CoreMemory> MulticoreRun<C> {
             stepped += 1;
             let core = &mut self.cores[cid];
             let trace = traces[cid];
-            let ev = trace.events[core.event_idx];
-            core.event_idx = (core.event_idx + 1) % trace.events.len();
+            let ev = trace.next_event_wrapping(&mut core.cursor);
             core.consumed += 1;
 
             let before = core.instrs;
-            if ev.is_mem() {
-                let mut r = ev.as_mem_ref();
-                r.addr += self.offsets[cid];
-                let d = core.rob.dispatch_slot();
-                let out = self.engine.mems[cid].access(&r, d, &mut self.engine.backend);
-                let completion = if r.is_write { d + 1 } else { out.completion };
-                core.rob.complete_at(completion);
-                core.instrs += 1;
-            } else {
-                core.rob.bubbles(ev.addr);
-                core.instrs += ev.addr;
+            match ev {
+                Event::Mem(mut r) => {
+                    r.addr += self.offsets[cid];
+                    let d = core.rob.dispatch_slot();
+                    let out = self.engine.mems[cid].access(&r, d, &mut self.engine.backend);
+                    let completion = if r.is_write { d + 1 } else { out.completion };
+                    core.rob.complete_at(completion);
+                    core.instrs += 1;
+                }
+                Event::Bubble(n) => {
+                    core.rob.bubbles(n);
+                    core.instrs += n;
+                }
             }
 
             // Warmup boundary: reset this core's private stats.
@@ -284,7 +295,7 @@ impl<C: CoreMemory> MulticoreRun<C> {
         for (i, c) in self.cores.iter().enumerate() {
             c.rob.save_state(w);
             w.put_u64(c.instrs);
-            w.put_usize(c.event_idx);
+            w.put_usize(c.cursor.pos());
             w.put_u64(c.consumed);
             w.put_bool(c.measuring);
             w.put_u64(c.measure_start_cycle);
@@ -315,7 +326,7 @@ impl<C: CoreMemory> MulticoreRun<C> {
         for (i, c) in self.cores.iter_mut().enumerate() {
             c.rob.load_state(r)?;
             c.instrs = r.get_u64()?;
-            c.event_idx = r.get_usize()?;
+            c.cursor = TraceCursor::unresolved(r.get_usize()?);
             c.consumed = r.get_u64()?;
             c.measuring = r.get_bool()?;
             c.measure_start_cycle = r.get_u64()?;
@@ -329,6 +340,7 @@ impl<C: CoreMemory> MulticoreRun<C> {
             c.tel = TelSnap::default();
             self.engine.mems[i].load_state(r)?;
         }
+        self.restored = true;
         self.engine.backend.load_state(r)
     }
 
@@ -371,7 +383,7 @@ mod tests {
     use super::*;
     use crate::config::{PrefetcherKind, SystemConfig};
     use crate::hierarchy::CoreSide;
-    use crate::trace::{RecordingTracer, Tracer};
+    use crate::trace::{MemRef, RecordingTracer, Tracer};
 
     fn make_trace(seed: u64, instrs: u64, footprint_blocks: u64) -> CompactTrace {
         let mut rec = RecordingTracer::new(instrs);
@@ -489,14 +501,70 @@ mod tests {
         );
     }
 
+    /// A pr-like trace: a streaming index load, then a property gather
+    /// that mostly carries a T-OPT next-use hint.
+    fn make_hinted_trace(seed: u64, instrs: u64, footprint_blocks: u64) -> CompactTrace {
+        let mut rec = RecordingTracer::new(instrs);
+        let mut x = seed;
+        let mut i = 0u32;
+        while !rec.done() {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            rec.load(1, 1, u64::from(i) * 4);
+            let gather = MemRef::read(2, 2, (x % footprint_blocks) * 64);
+            rec.mem(if x.is_multiple_of(4) {
+                gather
+            } else {
+                gather.with_next_use(i + (x >> 58) as u32)
+            });
+            rec.bubble(2);
+            i += 1;
+        }
+        rec.finish()
+    }
+
+    /// T-OPT with private caches and LLC small enough for the short test
+    /// traces to evict from, so the hints steer its victims.
+    fn thrashing_topt(cores: usize) -> SystemConfig {
+        let mut cfg = SystemConfig::topt(cores);
+        (cfg.l1d.sets, cfg.l2c.sets, cfg.llc.sets) = (8, 16, 64 * cores);
+        cfg
+    }
+
+    /// `trace`'s events repeated `times` times, as one trace.
+    fn unrolled(trace: &CompactTrace, times: usize) -> CompactTrace {
+        let mut rec = RecordingTracer::new(u64::MAX);
+        for _ in 0..times {
+            for ev in trace.iter() {
+                match ev {
+                    Event::Mem(r) => rec.mem(r),
+                    Event::Bubble(n) => rec.bubble(n as u32),
+                }
+            }
+        }
+        rec.finish()
+    }
+
     #[test]
     fn short_trace_wraps_around() {
-        let cfg = cfg();
-        let trace = make_trace(5, 1000, 1000);
-        let mems = vec![CoreSide::new(&cfg)];
-        let results = MulticoreEngine::new(mems, SharedBackend::new(&cfg), Window::new(0, 5000))
-            .run(&[&trace], 4, 224);
-        assert!(results[0].instructions >= 5000);
+        let cases = [
+            (cfg(), make_trace(5, 1000, 1000)),
+            (thrashing_topt(1), make_hinted_trace(5, 1000, 100_000)),
+        ];
+        for (cfg, trace) in cases {
+            let run = |t: &CompactTrace| {
+                let mems = vec![CoreSide::new(&cfg)];
+                MulticoreEngine::new(mems, SharedBackend::new(&cfg), Window::new(0, 5000)).run(
+                    &[t],
+                    4,
+                    224,
+                )
+            };
+            let wrapped = run(&trace);
+            assert!(wrapped[0].instructions >= 5000);
+            // Wrapping replays exactly the events (and hints) of the trace
+            // laid end to end.
+            assert_eq!(wrapped, run(&unrolled(&trace, 6)));
+        }
     }
 
     #[test]
@@ -545,33 +613,42 @@ mod tests {
     #[test]
     fn multicore_snapshot_restore_then_run_is_bit_identical() {
         // Prefetchers on: snapshot the richest state the hierarchy holds.
-        let cfg = SystemConfig::baseline(4);
-        let traces: Vec<CompactTrace> =
+        // The second machine runs T-OPT on hinted traces that wrap, so a
+        // restored core must also re-derive its hint cursor (mid-block).
+        let baseline: Vec<CompactTrace> =
             (0..4).map(|i| make_trace(i + 21, 20_000, 3_000_000)).collect();
-        let refs: Vec<&CompactTrace> = traces.iter().collect();
-        let offsets = [0u64, 1 << 32, 2 << 32, 3 << 32];
-        let window = Window::new(2000, 18_000);
-        let build = || {
-            let mems: Vec<CoreSide> = (0..4).map(|_| CoreSide::new(&cfg)).collect();
-            MulticoreEngine::new(mems, SharedBackend::new(&cfg), window)
-        };
+        let hinted: Vec<CompactTrace> =
+            (0..4).map(|i| make_hinted_trace(i + 40, 6_000, 500_000)).collect();
+        let cases = [
+            (SystemConfig::baseline(4), baseline, [3_000u64, 40_000]),
+            (thrashing_topt(4), hinted, [5_001, 37_777]),
+        ];
+        for (cfg, traces, splits) in cases {
+            let refs: Vec<&CompactTrace> = traces.iter().collect();
+            let offsets = [0u64, 1 << 32, 2 << 32, 3 << 32];
+            let window = Window::new(2000, 18_000);
+            let build = || {
+                let mems: Vec<CoreSide> = (0..4).map(|_| CoreSide::new(&cfg)).collect();
+                MulticoreEngine::new(mems, SharedBackend::new(&cfg), window)
+            };
 
-        let mut straight = build().start(&offsets, 4, 224);
-        straight.run_to_completion(&refs);
-        let want = straight.finish();
+            let mut straight = build().start(&offsets, 4, 224);
+            straight.run_to_completion(&refs);
+            let want = straight.finish();
 
-        // Split mid-warmup and mid-measurement.
-        for split in [3_000u64, 40_000] {
-            let mut first = build().start(&offsets, 4, 224);
-            assert!(first.step_span(&refs, split), "machine still running at step {split}");
-            assert_eq!(first.steps(), split);
-            let payload = first.snapshot();
+            // Split mid-warmup and mid-measurement.
+            for split in splits {
+                let mut first = build().start(&offsets, 4, 224);
+                assert!(first.step_span(&refs, split), "machine still running at step {split}");
+                assert_eq!(first.steps(), split);
+                let payload = first.snapshot();
 
-            let mut resumed = build().start(&offsets, 4, 224);
-            resumed.restore(&payload).unwrap();
-            assert_eq!(resumed.steps(), split);
-            resumed.run_to_completion(&refs);
-            assert_eq!(resumed.finish(), want, "diverged after restore at step {split}");
+                let mut resumed = build().start(&offsets, 4, 224);
+                resumed.restore(&payload).unwrap();
+                assert_eq!(resumed.steps(), split);
+                resumed.run_to_completion(&refs);
+                assert_eq!(resumed.finish(), want, "diverged after restore at step {split}");
+            }
         }
     }
 

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! [8B magic "GPTRCv2\0"] [u64 instructions] [u64 event count]
-//! [count x 16B packed events]
+//! [count x 16B event records: u64 addr, u32 next_use, u16 pc, u8 sid, u8 flags]
 //! [u64 event count echo] [u64 FNV-1a checksum]   <- integrity footer
 //! ```
 //!
@@ -17,7 +17,7 @@
 //! panic, so a corrupt cache file degrades to a re-record instead of
 //! aborting a sweep.
 
-use crate::trace::{CompactTrace, TraceEvent};
+use crate::trace::{CompactTrace, Event, MemRef, PackError};
 use simstate::Fnv1a;
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -27,6 +27,11 @@ const MAGIC: &[u8; 8] = b"GPTRCv2\0";
 /// The footer-less v1 magic; rejected with a version error (old cache
 /// files carry no checksum, so they are simply regenerated).
 const MAGIC_V1: &[u8; 8] = b"GPTRCv1\0";
+/// Bytes per on-disk event record.
+const RECORD_BYTES: usize = 16;
+/// Record flags: a memory event, and a memory event that writes.
+const FLAG_MEM: u8 = 1;
+const FLAG_WRITE_MEM: u8 = FLAG_MEM | 2;
 
 /// Why a trace failed to decode.
 #[derive(Debug)]
@@ -45,6 +50,11 @@ pub enum TraceIoError {
     ChecksumMismatch { expected: u64, found: u64 },
     /// Header instruction count disagrees with the events' own counts.
     InstructionCountMismatch { header: u64, counted: u64 },
+    /// Event `index` has unknown flags, or is a bubble carrying a pc, sid
+    /// or next-use hint.
+    MalformedEvent { index: u64 },
+    /// Event `index` exceeds the limits of the packed in-memory trace.
+    Unpackable { index: u64, error: PackError },
 }
 
 impl fmt::Display for TraceIoError {
@@ -66,6 +76,10 @@ impl fmt::Display for TraceIoError {
             TraceIoError::InstructionCountMismatch { header, counted } => {
                 write!(f, "trace header says {header} instructions, events sum to {counted}")
             }
+            TraceIoError::MalformedEvent { index } => write!(f, "trace event {index} is malformed"),
+            TraceIoError::Unpackable { index, error } => {
+                write!(f, "trace event {index} cannot be held in memory: {error}")
+            }
         }
     }
 }
@@ -74,6 +88,7 @@ impl std::error::Error for TraceIoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TraceIoError::Io(e) => Some(e),
+            TraceIoError::Unpackable { error, .. } => Some(error),
             _ => None,
         }
     }
@@ -89,6 +104,48 @@ impl From<io::Error> for TraceIoError {
     }
 }
 
+/// The 16-byte on-disk record of a decoded event: `addr`, `next_use`, `pc`,
+/// `sid`, `flags`. A bubble stores its instruction count in `addr` and zero
+/// in every other field.
+fn record(ev: Event) -> [u8; RECORD_BYTES] {
+    let (addr, next_use, pc, sid, flags) = match ev {
+        Event::Bubble(n) => (n, 0, 0, 0, 0),
+        Event::Mem(r) => {
+            let flags = if r.is_write { FLAG_WRITE_MEM } else { FLAG_MEM };
+            (r.addr, r.next_use, r.pc, r.sid, flags)
+        }
+    };
+    // Little-endian fields at byte offsets 0, 8, 12, 14 and 15.
+    let word = u128::from(addr)
+        | u128::from(next_use) << 64
+        | u128::from(pc) << 96
+        | u128::from(sid) << 112
+        | u128::from(flags) << 120;
+    word.to_le_bytes()
+}
+
+/// Append the event an on-disk record describes to `trace`.
+fn push_record(
+    trace: &mut CompactTrace,
+    rec: &[u8; RECORD_BYTES],
+    index: u64,
+) -> Result<(), TraceIoError> {
+    // Destructuring the fixed-width record keeps this infallible.
+    let [a0, a1, a2, a3, a4, a5, a6, a7, n0, n1, n2, n3, p0, p1, sid, flags] = *rec;
+    let addr = u64::from_le_bytes([a0, a1, a2, a3, a4, a5, a6, a7]);
+    let next_use = u32::from_le_bytes([n0, n1, n2, n3]);
+    let pc = u16::from_le_bytes([p0, p1]);
+    let packed = match flags {
+        0 if next_use == 0 && pc == 0 && sid == 0 => trace.push_bubble(addr),
+        FLAG_MEM | FLAG_WRITE_MEM => {
+            let is_write = flags == FLAG_WRITE_MEM;
+            trace.push_mem(&MemRef { addr, pc, sid, is_write, next_use })
+        }
+        _ => return Err(TraceIoError::MalformedEvent { index }),
+    };
+    packed.map_err(|error| TraceIoError::Unpackable { index, error })
+}
+
 /// FNV-1a checksum of a trace's logical content — exactly the value
 /// [`write_trace`] places in the integrity footer, computed without
 /// serializing. This is the trace's *identity*: sweep resume keys and
@@ -99,11 +156,8 @@ pub fn trace_checksum(trace: &CompactTrace) -> u64 {
     let mut sum = Fnv1a::new();
     sum.update(&trace.instructions.to_le_bytes());
     sum.update(&(trace.events.len() as u64).to_le_bytes());
-    for e in &trace.events {
-        sum.update(&e.addr.to_le_bytes());
-        sum.update(&e.next_use.to_le_bytes());
-        sum.update(&e.pc.to_le_bytes());
-        sum.update(&[e.sid, e.flags]);
+    for ev in trace.iter() {
+        sum.update(&record(ev));
     }
     sum.finish()
 }
@@ -119,11 +173,8 @@ pub fn write_trace<W: Write>(trace: &CompactTrace, writer: W) -> io::Result<()> 
     w.write_all(MAGIC)?;
     put(&mut w, &mut sum, &trace.instructions.to_le_bytes())?;
     put(&mut w, &mut sum, &(trace.events.len() as u64).to_le_bytes())?;
-    for e in &trace.events {
-        put(&mut w, &mut sum, &e.addr.to_le_bytes())?;
-        put(&mut w, &mut sum, &e.next_use.to_le_bytes())?;
-        put(&mut w, &mut sum, &e.pc.to_le_bytes())?;
-        put(&mut w, &mut sum, &[e.sid, e.flags])?;
+    for ev in trace.iter() {
+        put(&mut w, &mut sum, &record(ev))?;
     }
     w.write_all(&(trace.events.len() as u64).to_le_bytes())?;
     w.write_all(&sum.finish().to_le_bytes())?;
@@ -131,7 +182,6 @@ pub fn write_trace<W: Write>(trace: &CompactTrace, writer: W) -> io::Result<()> 
 }
 
 /// Deserialize a trace, verifying the length + checksum footer.
-// simlint::allow(panic-path): record framing is length-checked against the buffer before slicing
 pub fn read_trace<R: Read>(reader: R) -> Result<CompactTrace, TraceIoError> {
     let mut r = BufReader::new(reader);
     let mut magic = [0u8; 8];
@@ -154,26 +204,19 @@ pub fn read_trace<R: Read>(reader: R) -> Result<CompactTrace, TraceIoError> {
     // Capacity hint is clamped: a corrupt header must not be able to
     // request an absurd up-front allocation — truncation is detected by
     // read_exact long before a real file that large could exist.
-    let mut events = Vec::with_capacity((count as usize).min(1 << 20));
-    let mut rec = [0u8; 16];
-    for _ in 0..count {
+    let mut trace = CompactTrace::default();
+    trace.instructions = instructions;
+    trace.events.reserve((count as usize).min(1 << 20));
+    // The first event that does not decode is reported only once the
+    // footer checks pass: a corrupt file says so, not which byte broke.
+    let mut bad_event = None;
+    let mut rec = [0u8; RECORD_BYTES];
+    for index in 0..count {
         r.read_exact(&mut rec)?;
         sum.update(&rec);
-        // Fixed-width field splits: sized arrays keep this infallible
-        // without any try_into().unwrap() on the hot decode path.
-        let mut addr = [0u8; 8];
-        let mut next_use = [0u8; 4];
-        let mut pc = [0u8; 2];
-        addr.copy_from_slice(&rec[0..8]);
-        next_use.copy_from_slice(&rec[8..12]);
-        pc.copy_from_slice(&rec[12..14]);
-        events.push(TraceEvent {
-            addr: u64::from_le_bytes(addr),
-            next_use: u32::from_le_bytes(next_use),
-            pc: u16::from_le_bytes(pc),
-            sid: rec[14],
-            flags: rec[15],
-        });
+        if bad_event.is_none() {
+            bad_event = push_record(&mut trace, &rec, index).err();
+        }
     }
     r.read_exact(&mut b8)?;
     let footer_count = u64::from_le_bytes(b8);
@@ -186,14 +229,15 @@ pub fn read_trace<R: Read>(reader: R) -> Result<CompactTrace, TraceIoError> {
     if expected != found {
         return Err(TraceIoError::ChecksumMismatch { expected, found });
     }
-
-    let trace = CompactTrace { events, instructions };
+    if let Some(e) = bad_event {
+        return Err(e);
+    }
     validate(&trace)?;
     Ok(trace)
 }
 
 fn validate(trace: &CompactTrace) -> Result<(), TraceIoError> {
-    let counted: u64 = trace.events.iter().map(|e| e.instr_count()).sum();
+    let counted = trace.events.iter().fold(0u64, |n, e| n.saturating_add(e.instr_count()));
     if counted != trace.instructions {
         return Err(TraceIoError::InstructionCountMismatch { header: trace.instructions, counted });
     }
@@ -219,10 +263,105 @@ mod tests {
         let mut x = 9u64;
         while !rec.done() {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            rec.mem(MemRef::read((x % 100) as u16, (x % 8) as u8, (x >> 20) & 0xFFFFFFC0));
+            let r = MemRef::read((x % 100) as u16, (x % 8) as u8, (x >> 20) & 0xFFFFFFC0);
+            rec.mem(if x.is_multiple_of(3) { r.with_next_use((x >> 40) as u32) } else { r });
             rec.bubble((x % 7) as u32 + 1);
         }
         rec.finish()
+    }
+
+    /// A well-framed file (valid footer) holding `records` verbatim.
+    fn file_of(instructions: u64, records: &[[u8; RECORD_BYTES]]) -> Vec<u8> {
+        let mut sum = Fnv1a::new();
+        let mut body = Vec::new();
+        body.extend_from_slice(&instructions.to_le_bytes());
+        body.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        for rec in records {
+            body.extend_from_slice(rec);
+        }
+        sum.update(&body);
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&body);
+        buf.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&sum.finish().to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn write_read_write_is_byte_identical() {
+        let mut first = Vec::new();
+        write_trace(&sample_trace(), &mut first).unwrap();
+        let mut second = Vec::new();
+        write_trace(&read_trace(&first[..]).unwrap(), &mut second).unwrap();
+        assert_eq!(first, second);
+    }
+
+    #[test]
+    fn well_framed_records_round_trip_through_the_packed_form() {
+        let read = MemRef::read(3, 4, 0x1234_5678_9ac0).with_next_use(17);
+        let recs = [record(Event::Bubble(5)), record(Event::Mem(read))];
+        let trace = read_trace(&file_of(6, &recs)[..]).unwrap();
+        assert_eq!(trace.iter().collect::<Vec<_>>(), [Event::Bubble(5), Event::Mem(read)]);
+    }
+
+    #[test]
+    fn rejects_events_beyond_the_packing_limits() {
+        let wide = record(Event::Mem(MemRef::read(1, 1, 1 << 48)));
+        assert!(matches!(
+            read_trace(&file_of(1, &[wide])[..]),
+            Err(TraceIoError::Unpackable { index: 0, error: PackError::AddressTooWide(_) })
+        ));
+        let long = record(Event::Bubble(1 << 63));
+        assert!(matches!(
+            read_trace(&file_of(1 << 63, &[record(Event::Bubble(1)), long])[..]),
+            Err(TraceIoError::Unpackable { index: 1, error: PackError::BubbleTooLong(_) })
+        ));
+        // One site more than the table holds.
+        let recs: Vec<_> = (0..=crate::trace::MAX_TRACE_SITES as u64)
+            .map(|i| record(Event::Mem(MemRef::read((i % 4096) as u16, (i / 4096) as u8, 0))))
+            .collect();
+        assert!(matches!(
+            read_trace(&file_of(recs.len() as u64, &recs)[..]),
+            Err(TraceIoError::Unpackable { index: 8192, error: PackError::SiteTableFull { .. } })
+        ));
+    }
+
+    #[test]
+    fn rejects_bubbles_carrying_memory_fields_and_unknown_flags() {
+        let bubble = record(Event::Bubble(4));
+        let mut with_pc = bubble;
+        with_pc[12] = 1;
+        let mut with_sid = bubble;
+        with_sid[14] = 1;
+        let mut with_hint = bubble;
+        with_hint[8] = 1;
+        let mut write_bubble = bubble;
+        write_bubble[15] = 2;
+        let mut unknown_flag = record(Event::Mem(MemRef::read(1, 1, 64)));
+        unknown_flag[15] |= 4;
+        for (what, bad) in [
+            ("pc", with_pc),
+            ("sid", with_sid),
+            ("next_use", with_hint),
+            ("write flag", write_bubble),
+            ("unknown flag", unknown_flag),
+        ] {
+            let file = file_of(5, &[record(Event::Bubble(1)), bad]);
+            assert!(
+                matches!(read_trace(&file[..]), Err(TraceIoError::MalformedEvent { index: 1 })),
+                "a bubble with a {what} must not decode"
+            );
+        }
+    }
+
+    #[test]
+    fn instruction_count_overflow_is_an_error_not_a_panic() {
+        let big = record(Event::Bubble(crate::trace::MAX_TRACE_BUBBLE));
+        let file = file_of(7, &[big, big, big]);
+        assert!(matches!(
+            read_trace(&file[..]),
+            Err(TraceIoError::InstructionCountMismatch { header: 7, counted: u64::MAX })
+        ));
     }
 
     #[test]
@@ -231,8 +370,7 @@ mod tests {
         let mut buf = Vec::new();
         write_trace(&trace, &mut buf).unwrap();
         let back = read_trace(&buf[..]).unwrap();
-        assert_eq!(trace.instructions, back.instructions);
-        assert_eq!(trace.events, back.events);
+        assert_eq!(trace, back);
     }
 
     #[test]
@@ -243,8 +381,17 @@ mod tests {
         let footer = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
         assert_eq!(trace_checksum(&trace), footer);
         // Distinct traces get distinct identities.
-        let mut other = trace.clone();
-        other.events[0].addr ^= 0x40;
+        let mut other = CompactTrace::default();
+        other.instructions = trace.instructions;
+        for (i, ev) in trace.iter().enumerate() {
+            match ev {
+                Event::Mem(mut r) => {
+                    r.addr ^= if i == 0 { 0x40 } else { 0 };
+                    other.push_mem(&r).unwrap();
+                }
+                Event::Bubble(n) => other.push_bubble(n).unwrap(),
+            }
+        }
         assert_ne!(trace_checksum(&other), footer);
     }
 
@@ -335,7 +482,7 @@ mod tests {
         let trace = sample_trace();
         save(&trace, &path).unwrap();
         let back = load(&path).unwrap();
-        assert_eq!(trace.events, back.events);
+        assert_eq!(trace, back);
         let _ = std::fs::remove_file(&path);
     }
 }

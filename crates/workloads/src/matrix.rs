@@ -70,7 +70,6 @@ use serde::Serialize;
 use simcore::hierarchy::MemorySystem;
 use simcore::{Budget, CompactTrace, Engine, SimResult};
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -487,9 +486,11 @@ pub fn cross(workloads: &[Workload], kinds: &[SystemKind]) -> Vec<(Workload, Sys
     workloads.iter().flat_map(|&w| kinds.iter().map(move |&k| (w, k))).collect()
 }
 
+/// The persisted config hash (manifests, resume keys, `SSTATEv1` headers):
+/// FNV-1a over the repr's bytes, so it is the same on every toolchain.
 fn hash_config_u64(repr: &str) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    repr.hash(&mut h);
+    let mut h = simstate::Fnv1a::new();
+    h.update(repr.as_bytes());
     h.finish()
 }
 
@@ -785,7 +786,7 @@ impl Runner {
                     };
                     // The trace's identity, shared by every point of the
                     // shard: resume keys and checkpoint headers embed it.
-                    let tsum = trace.as_ref().map_or(0, |t| simcore::trace_io::trace_checksum(t));
+                    let tsum = trace.as_ref().map_or(0, |t| self.trace_checksum(w, t));
                     for i in indices {
                         if abort.load(Ordering::Relaxed) {
                             return;
@@ -1106,6 +1107,26 @@ mod tests {
         SystemSpec::custom(format!("boom-{tag}"), format!("boom {tag}"), move |_| {
             panic!("{}", msg.clone())
         })
+    }
+
+    #[test]
+    fn config_hash_is_fnv1a_of_the_repr() {
+        // Persisted in manifests, resume keys and snapshot headers: the
+        // value must not depend on the toolchain's std hasher.
+        assert_eq!(hash_config_u64("abc"), 0xe71f_a219_0541_574b);
+    }
+
+    #[test]
+    fn trace_checksum_is_memoized_until_eviction() {
+        let r = tiny_runner();
+        let w = Workload::new(Kernel::Pr, GraphInput::Kron);
+        let trace = r.trace(w);
+        let want = simcore::trace_io::trace_checksum(&trace);
+        assert_eq!(r.trace_checksum(w, &trace), want);
+        // A memoized sum answers without reading the trace it is handed.
+        assert_eq!(r.trace_checksum(w, &CompactTrace::default()), want);
+        r.evict_trace(w);
+        assert_ne!(r.trace_checksum(w, &CompactTrace::default()), want);
     }
 
     /// The acceptance property: a parallel matrix over >= 6 points matches

@@ -156,12 +156,8 @@ mod tests {
         run_regular(RegularKind::Stream, 0, &mut rec);
         let trace = rec.finish();
         // Consecutive STREAM_B loads differ by exactly 8 bytes.
-        let b_addrs: Vec<u64> = trace
-            .events
-            .iter()
-            .filter(|e| e.is_mem() && e.pc == pc::STREAM_B)
-            .map(|e| e.addr)
-            .collect();
+        let b_addrs: Vec<u64> =
+            trace.refs().filter(|r| r.pc == pc::STREAM_B).map(|r| r.addr).collect();
         assert!(b_addrs.windows(2).all(|w| w[1] - w[0] == 8));
     }
 
@@ -170,7 +166,7 @@ mod tests {
         let mut rec = RecordingTracer::new(30_000);
         run_regular(RegularKind::SmallRandom, 0, &mut rec);
         let trace = rec.finish();
-        let addrs: Vec<u64> = trace.events.iter().filter(|e| e.is_mem()).map(|e| e.addr).collect();
+        let addrs: Vec<u64> = trace.refs().map(|r| r.addr).collect();
         let (lo, hi) = addrs.iter().fold((u64::MAX, 0), |(lo, hi), &a| (lo.min(a), hi.max(a)));
         assert!(hi - lo <= 16 * 1024, "footprint = {}", hi - lo);
         // Local walk: consecutive block strides stay small (the LP must
@@ -188,11 +184,8 @@ mod tests {
         let mut rec = RecordingTracer::new(30_000);
         run_regular(RegularKind::PointerChase, 0, &mut rec);
         let trace = rec.finish();
-        let (lo, hi) = trace
-            .events
-            .iter()
-            .filter(|e| e.is_mem())
-            .fold((u64::MAX, 0), |(lo, hi), e| (lo.min(e.addr), hi.max(e.addr)));
+        let (lo, hi) =
+            trace.refs().fold((u64::MAX, 0), |(lo, hi), r| (lo.min(r.addr), hi.max(r.addr)));
         assert!(hi - lo > 4 * 1024 * 1024, "footprint = {}", hi - lo);
     }
 }

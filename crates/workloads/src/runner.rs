@@ -27,6 +27,9 @@ pub struct Runner {
     pub skip: u64,
     graphs: Mutex<BTreeMap<GraphInput, Arc<KernelInput>>>,
     traces: Mutex<BTreeMap<Workload, Arc<CompactTrace>>>,
+    /// `trace_checksum` of each cached trace, computed on first use by the
+    /// sweep executor and dropped with the trace.
+    trace_sums: Mutex<BTreeMap<Workload, u64>>,
     regular_traces: Mutex<BTreeMap<RegularKind, Arc<CompactTrace>>>,
     /// Keep recorded traces cached across calls (memory permitting).
     pub cache_traces: bool,
@@ -41,6 +44,7 @@ impl Runner {
             skip: 8 * scale.vertices() as u64,
             graphs: Mutex::new(BTreeMap::new()),
             traces: Mutex::new(BTreeMap::new()),
+            trace_sums: Mutex::new(BTreeMap::new()),
             regular_traces: Mutex::new(BTreeMap::new()),
             cache_traces: true,
         }
@@ -126,6 +130,21 @@ impl Runner {
     /// iterating workload-outer and evicting when done).
     pub fn evict_trace(&self, w: Workload) {
         self.traces.lock().remove(&w);
+        self.trace_sums.lock().remove(&w);
+    }
+
+    /// [`simcore::trace_io::trace_checksum`] of `trace`, which must be
+    /// `w`'s trace from [`Runner::trace`]. Memoized while the trace stays
+    /// cached, so repeated sweeps hash each trace once.
+    pub(crate) fn trace_checksum(&self, w: Workload, trace: &CompactTrace) -> u64 {
+        if let Some(&sum) = self.trace_sums.lock().get(&w) {
+            return sum;
+        }
+        let sum = simcore::trace_io::trace_checksum(trace);
+        if self.cache_traces {
+            self.trace_sums.lock().insert(w, sum);
+        }
+        sum
     }
 
     pub(crate) fn engine_for(
@@ -241,7 +260,9 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::configs::build_system_with_config;
     use gpkernels::Kernel;
+    use simcore::Tracer;
 
     fn tiny_runner() -> Runner {
         Runner::new(SuiteScale::Tiny, Window::new(20_000, 80_000))
@@ -260,7 +281,44 @@ mod tests {
         r.evict_trace(w);
         let t3 = r.trace(w);
         assert!(!Arc::ptr_eq(&t1, &t3));
-        assert_eq!(t1.events, t3.events, "regenerated trace must be identical");
+        assert_eq!(t1, t3, "regenerated trace must be identical");
+    }
+
+    #[test]
+    fn chunked_replay_of_a_hinted_trace_matches_live_feeding() {
+        // pr carries T-OPT next-use hints; T-OPT reads them. Spans start
+        // at positions all over the trace's 4096-event rank blocks, so
+        // each replay_span call re-derives its hint cursor mid-block.
+        let r = tiny_runner();
+        let trace = r.trace(Workload::new(Kernel::Pr, GraphInput::Kron));
+        assert!(trace.len() > 3 * 4096, "trace spans several rank blocks");
+        assert!(trace.refs().any(|m| m.next_use != u32::MAX), "pr trace carries hints");
+        // Caches small enough for the tiny trace to evict from the LLC, so
+        // the hints steer T-OPT's victims.
+        let mut cfg = SystemKind::TOpt.system_config(1);
+        (cfg.l1d.sets, cfg.l2c.sets, cfg.llc.sets) = (4, 8, 16);
+        let engine = || {
+            let sys = build_system_with_config(SystemKind::TOpt, Kernel::Pr, &r.sdclp, &cfg);
+            r.engine_for(sys)
+        };
+
+        let mut live = engine();
+        for ev in trace.iter() {
+            match ev {
+                simcore::Event::Mem(m) => live.mem(m),
+                simcore::Event::Bubble(n) => live.bubble(u32::try_from(n).unwrap()),
+            }
+        }
+        let want = live.finish();
+
+        for chunk in [1000, 4095, 4097] {
+            let mut chunked = engine();
+            let mut pos = 0;
+            while pos < trace.len() && !chunked.done() {
+                pos = chunked.replay_span(&trace, pos, chunk);
+            }
+            assert_eq!(chunked.finish(), want, "chunks of {chunk} events");
+        }
     }
 
     #[test]
@@ -272,7 +330,7 @@ mod tests {
         r.evict_regular_trace(RegularKind::Stream);
         let c = r.regular_trace(RegularKind::Stream);
         assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(a.events, c.events, "regenerated trace must be identical");
+        assert_eq!(a, c, "regenerated trace must be identical");
     }
 
     #[test]
